@@ -1,6 +1,9 @@
 (* Umbrella module for the semantic abstract data types. *)
 
-module Escrow_counter = Escrow_counter
+module Adt = Adt
+module Escrow = Escrow
 module Kv_set = Kv_set
-module Fifo_queue = Fifo_queue
+module Fifo = Fifo
 module Directory = Directory
+module Register = Register
+module Roster = Roster

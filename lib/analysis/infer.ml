@@ -11,6 +11,7 @@
    a minimal replayable witness. *)
 
 open Ooser_core
+module Adt = Ooser_adts.Adt
 
 type arg_rel = Same_args | Same_key | Distinct | Mixed | Any
 
@@ -153,8 +154,8 @@ let unaudited_group spec_name members vocab =
     Diagnostic.v ~code:"INFER003" ~severity:Diagnostic.Info
       ~obj:(String.concat "," members)
       ~hint:
-        "add an executable model to lib/analysis/semantics.ml to bring \
-         this spec under inference"
+        "define the ADT in lib/adts and list it in Semantics.all to \
+         bring this spec under inference"
       (Printf.sprintf
          "spec %S has no executable model: %d method-pair cell(s) stay \
           undecided"
@@ -169,12 +170,12 @@ let unaudited_group spec_name members vocab =
   }
 
 let is_read = function
-  | Semantics.Reads_all | Semantics.Reads_key -> true
-  | Semantics.Writes_all | Semantics.Writes_key -> false
+  | Adt.Reads_all | Adt.Reads_key -> true
+  | Adt.Writes_all | Adt.Writes_key -> false
 
 let is_keyed = function
-  | Semantics.Reads_key | Semantics.Writes_key -> true
-  | Semantics.Reads_all | Semantics.Writes_all -> false
+  | Adt.Reads_key | Adt.Writes_key -> true
+  | Adt.Reads_all | Adt.Writes_all -> false
 
 let audit_group ~rand ~random_states ~effects (spec_name, infos) =
   let rep : Spec_lint.object_info = List.hd infos in
@@ -190,9 +191,9 @@ let audit_group ~rand ~random_states ~effects (spec_name, infos) =
       let obj0 = List.hd members in
       let random =
         List.init random_states (fun _ ->
-            QCheck.Gen.generate1 ~rand model.Semantics.gen_state)
+            QCheck.Gen.generate1 ~rand model.Adt.gen_state)
       in
-      let states = model.Semantics.states @ random in
+      let states = model.Adt.states @ random in
       let n_states = List.length states in
       let diags = ref [] in
       let unsound = ref [] in
@@ -200,7 +201,7 @@ let audit_group ~rand ~random_states ~effects (spec_name, infos) =
       let cells = ref [] in
       let entries = ref [] in
       let undecided_methods =
-        List.filter (fun m -> not (List.mem m model.Semantics.vocab)) vocab
+        List.filter (fun m -> not (List.mem m model.Adt.vocab)) vocab
       in
       let emit_unsound cell w =
         unsound := (spec_name, cell) :: !unsound;
@@ -258,7 +259,7 @@ let audit_group ~rand ~random_states ~effects (spec_name, infos) =
           (fun s ->
             let family =
               if stable then None
-              else Some (model.Semantics.instantiate s).Semantics.hand
+              else Some (Semantics.instantiate model s).Semantics.hand
             in
             List.iter
               (fun (args, args', _hand_reg, first_fail, ok_any) ->
@@ -374,8 +375,8 @@ let audit_group ~rand ~random_states ~effects (spec_name, infos) =
       List.iter
         (fun (m, m') ->
           if
-            List.mem m model.Semantics.vocab
-            && List.mem m' model.Semantics.vocab
+            List.mem m model.Adt.vocab
+            && List.mem m' model.Adt.vocab
           then begin
             let vs = Semantics.vectors model m in
             let vs' = Semantics.vectors model m' in
@@ -452,7 +453,7 @@ let audit_group ~rand ~random_states ~effects (spec_name, infos) =
                 their cells stay undecided"
                spec_name
                (String.concat ", " undecided_methods)
-               model.Semantics.model_name)
+               model.Adt.name)
           :: !diags;
       {
         r_group = { spec_name; members; audited = true; cells = !cells };

@@ -1,21 +1,14 @@
 (** Executable small-scope semantics for the shipped ADTs.
 
     Spec inference (DESIGN §16) needs ground truth to compare a
-    commutativity specification against.  This module provides it: for
-    each ADT in [lib/adts] an executable {!model} bundling
-
-    - a canonical {e state encoding} as a {!Ooser_core.Value.t} (so
-      witnesses print, serialize and replay),
-    - a generator of small enumerated states (ordered small to large —
-      the first failing state is a minimal witness) plus a QCheck
-      random-state generator for the randomized soundness pass,
-    - an {e executable instance} per state: run a method, observe the
-      canonical abstract state, and undo the call the same way the
-      engine's abort path would (inverse escrow update, [decr_count],
-      remove-last-of, captured-binding restore — mirroring
-      [Ooser_oodb.Adt_objects]),
-    - per-method static {e footprints} for the effect-disjointness
-      shortcut (read/read and distinct-key pairs).
+    commutativity specification against.  A {!model} is the ADT's one
+    definition ({!Ooser_adts.Adt.t}): its canonical state encoding as a
+    {!Ooser_core.Value.t} (so witnesses print, serialize and replay),
+    enumerated small-to-large states (the first failing state is a
+    minimal witness) plus a QCheck random-state generator, argument
+    vectors and per-method footprints.  An {!instance} runs the ADT's
+    own transitions and undoes a call with the ADT's own inverse — the
+    exact code of the engine's abort path, not a mirror of it.
 
     The oracle {!commute_at} decides whether two concrete calls commute
     at a state in the full open-nesting sense: both execution orders
@@ -33,70 +26,39 @@
 open Ooser_core
 
 (** Result of executing or undoing one call: a returned value, or a
-    semantic error (bounds violation, missing element, bad argument). *)
+    semantic error (bounds violation, bad argument). *)
 type outcome = Ret of Value.t | Err of string
 
 type call = {
   result : outcome;
   undo : unit -> outcome;
-      (** Compensate the call, exactly like the engine's abort path.
-          Captured at execution time (e.g. the directory's old binding).
+      (** Apply the ADT's inverse, exactly like the engine's abort path.
           Undoing an [Err] result is a successful no-op. *)
 }
 
 (** One live ADT value at a specific abstract state. *)
 type instance = {
   hand : Commutativity.spec;
-      (** The shipped hand spec {e bound to this state} — for
-          state-dependent specs (escrow, queue) this is the rebound
-          family member at the instance's state. *)
+      (** The shipped spec reading this instance's state — for
+          state-dependent specs (escrow, queue) the family member at
+          that state. *)
   exec : string -> Value.t list -> call;
       (** Execute a method now; mutates the instance. *)
-  observe : unit -> Value.t;
-      (** Canonical abstract state: representation details (binding
-          order, back/front queue split) never show through. *)
+  observe : unit -> Value.t;  (** Canonical abstract state. *)
 }
 
-(** Static per-method effect footprint. *)
-type footprint =
-  | Reads_all  (** reads the whole abstract state (e.g. [list]) *)
-  | Writes_all  (** may write anywhere (e.g. [enqueue]) *)
-  | Reads_key  (** reads only the first-argument key *)
-  | Writes_key  (** writes only the first-argument key *)
+type model = Ooser_adts.Adt.t
 
-type model = {
-  model_name : string;
-  spec_name : string;
-      (** Name of the registered spec this model audits, as reported by
-          [Commutativity.name] (e.g. ["keyed(kv-set)"]). *)
-  vocab : string list;  (** methods the model can execute *)
-  footprints : (string * footprint) list;
-  arg_vectors : (string * Value.t list list) list;
-      (** Candidate argument vectors per method, covering same-args,
-          same-key and distinct-key pairings. *)
-  states : Value.t list;  (** enumerated states, small to large *)
-  gen_state : Value.t QCheck.Gen.t;  (** randomized-state generator *)
-  instantiate : Value.t -> instance;
-}
-
-val counter : model
-(** Escrow counter; state [[low; high; value]]. *)
-
-val kv_set : model
-(** Counted set; state = sorted [[(elem, count); …]], counts positive. *)
-
-val fifo : model
-(** FIFO queue; state = front-first element list. *)
-
-val directory : model
-(** Name-to-value map; state = key-sorted [[(key, value); …]]. *)
+val instantiate : model -> Value.t -> instance
 
 val all : model list
+(** Escrow counter, counted kv set, FIFO queue, directory, register and
+    roster. *)
 
 val for_spec : Commutativity.spec -> model option
 (** The model auditing this registered spec, matched by spec name. *)
 
-val footprint : model -> string -> footprint option
+val footprint : model -> string -> Ooser_adts.Adt.footprint option
 
 val vectors : model -> string -> Value.t list list
 (** Argument vectors for a method ([[[]]] for unknown methods, so

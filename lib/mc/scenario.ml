@@ -160,34 +160,9 @@ let deadlock_pair =
 let directory =
   let setup () =
     let db = Database.create () in
-    let dir = Ooser_adts.Directory.create () in
-    let kv = function
-      | [ k; v ] -> (k, v)
-      | _ -> invalid_arg "bind: key value expected"
-    in
-    let bind ctx args =
-      let k, v = kv args in
-      let prev = Ooser_adts.Directory.lookup dir k in
-      Ooser_adts.Directory.bind dir k v;
-      Runtime.on_undo ctx (fun () ->
-          match prev with
-          | Some v0 -> Ooser_adts.Directory.bind dir k v0
-          | None -> Ooser_adts.Directory.unbind dir k);
-      Value.unit
-    in
-    let lookup _ctx args =
-      match args with
-      | [ k ] -> (
-          match Ooser_adts.Directory.lookup dir k with
-          | Some v -> Value.pair (Value.str "some") v
-          | None -> Value.str "none")
-      | _ -> invalid_arg "lookup: key expected"
-    in
-    Database.register db (Obj_id.v "Dir") ~spec:Ooser_adts.Directory.spec
-      [
-        ("bind", Database.primitive bind);
-        ("lookup", Database.primitive lookup);
-      ];
+    ignore
+      (Adt_objects.register db (Obj_id.v "Dir") ~methods:[ "bind"; "lookup" ]
+         Ooser_adts.Directory.adt Ooser_adts.Directory.empty);
     db
   in
   let k = Value.str in

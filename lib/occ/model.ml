@@ -1,7 +1,6 @@
-(* Functional ADT models for the multiversion store.
+(* The multiversion store's view of an ADT.
 
-   A lock-protocol object is a closure over hidden mutable state; a
-   version chain needs the state reified as a value and the methods as
+   A version chain needs the state reified as a value and the methods as
    pure state transitions, so that
 
    - reads run against any snapshot version,
@@ -11,15 +10,20 @@
    - the registered commutativity spec can keep probing "the current
      state" through an accessor instead of a captured reference.
 
+   That is exactly an ADT's one definition in lib/adts; this module only
+   narrows it to the methods an object exposes and turns a semantic
+   rejection into a transaction abort.
+
    Soundness constraint on models: an update method's RESULT must be a
    pure function of its arguments (state-dependence of its
    applicability — e.g. escrow bounds — must be expressed both as a
-   raise in [apply] and in the commutativity spec).  A method whose
-   result reads state must be classified [`Read] or declared in the
-   spec to conflict with updates, otherwise commit-time replay could
-   silently change what the client already observed. *)
+   raise in the transition and in the commutativity spec).  A method
+   whose result reads state must be a read or declared in the spec to
+   conflict with updates, otherwise commit-time replay could silently
+   change what the client already observed. *)
 
 open Ooser_core
+module Adt = Ooser_adts.Adt
 module Runtime = Ooser_oodb.Runtime
 
 type outcome = {
@@ -27,194 +31,60 @@ type outcome = {
   result : Value.t;
 }
 
-type t = {
-  name : string;
-  init : Value.t;
-  methods : string list;
-  is_update : string -> bool;
-  apply : Value.t -> string -> Value.t list -> outcome;
-      (** May raise {!Ooser_oodb.Runtime.Abort} on semantic failure
-          (escrow bounds); deterministic in (state, method, args). *)
-  stale_apply :
-    committed:Value.t -> snap:Value.t -> string -> Value.t list -> Value.t;
-      (** The unvalidated-SI mutant's apply: the new state an update
-          computes from its BEGIN snapshot, merged into the committed
-          state — the bug naive snapshot isolation exhibits.  Only the
-          model-checker mutant mode calls this. *)
-  spec_of : current:(unit -> Value.t) -> Commutativity.spec;
-      (** Commutativity spec; [current] yields the newest committed
-          state for state-reading (escrow-style) predicates. *)
-}
+type stale =
+  committed:Value.t -> snap:Value.t -> string -> Value.t list -> Value.t
+
+type t = { adt : Adt.t; methods : Adt.meth list; stale : stale option }
+
+let v ?methods ?stale adt =
+  { adt; methods = Adt.select ?names:methods adt; stale }
+let name m = m.adt.Adt.name
+let methods m = List.map (fun (x : Adt.meth) -> x.name) m.methods
+let observe m st = m.adt.Adt.observe st
+let rebuild m st o = m.adt.Adt.rebuild st o
+let spec_of m ~current = m.adt.Adt.spec ~current
+
+let meth m meth_name =
+  match
+    List.find_opt (fun (x : Adt.meth) -> String.equal x.name meth_name) m.methods
+  with
+  | Some x -> x
+  | None ->
+      invalid_arg (Printf.sprintf "Occ %s: unknown method %s" (name m) meth_name)
+
+let is_update m name = Adt.is_update (meth m name)
+
+let apply m st name args =
+  let x = meth m name in
+  match x.run st args with
+  | st', result ->
+      { new_state = (if Adt.is_update x then Some st' else None); result }
+  | exception Adt.Rejected msg -> Runtime.abort msg
+
+let stale_apply m ~committed ~snap name args =
+  match m.stale with
+  | Some f -> f ~committed ~snap name args
+  | None -> (
+      match (apply m snap name args).new_state with
+      | Some st -> st
+      | None -> committed)
 
 (* The read/write projection of a model: what plain SSI sees.  Stable by
    construction, so rw-mode validation always runs the incremental
    certifier. *)
 let rw_spec m =
-  let reads, writes = List.partition (fun x -> not (m.is_update x)) m.methods in
-  Commutativity.rw_named ~name:(m.name ^ "-rw") ~reads ~writes
+  let writes, reads = List.partition Adt.is_update m.methods in
+  let names = List.map (fun (x : Adt.meth) -> x.name) in
+  Commutativity.rw_named ~name:(name m ^ "-rw") ~reads:(names reads)
+    ~writes:(names writes)
 
-let default_stale apply ~committed ~snap meth args =
-  match (apply snap meth args).new_state with
-  | Some st -> st
-  | None -> committed
-
-(* -- escrow account ------------------------------------------------------------
-
-   State: the balance as [Value.Int].  deposit/withdraw raise at
-   execution when the SNAPSHOT state violates bounds, and again at
-   commit-time replay when the combined concurrent deltas do; the spec
-   mirrors lib/adts/escrow_counter.ml against the current committed
-   balance. *)
-
-let escrow ?(low = 0) ?(high = max_int) initial =
-  if initial < low || initial > high then
-    invalid_arg "Occ.Model.escrow: initial value out of bounds";
-  let amount = function
-    | Value.Int n :: _ when n >= 0 -> n
-    | _ -> invalid_arg "amount expected"
-  in
-  let in_bounds v = v >= low && v <= high in
-  let delta_of act =
-    let n () =
-      match Action.args act with
-      | v :: _ -> Value.to_int v
-      | [] -> None
-    in
-    match Action.meth act with
-    | "deposit" | "incr" -> n ()
-    | "withdraw" | "decr" -> Option.map (fun n -> -n) (n ())
-    | _ -> None
-  in
-  let is_read act =
-    match Action.meth act with "balance" | "read" -> true | _ -> false
-  in
-  let apply st meth args =
-    let v = Value.to_int_exn st in
-    match meth with
-    | "deposit" ->
-        let v' = v + amount args in
-        if in_bounds v' then { new_state = Some (Value.int v'); result = Value.unit }
-        else Runtime.abort (Printf.sprintf "escrow: %d outside [%d, %d]" v' low high)
-    | "withdraw" ->
-        let v' = v - amount args in
-        if in_bounds v' then { new_state = Some (Value.int v'); result = Value.unit }
-        else Runtime.abort (Printf.sprintf "escrow: %d outside [%d, %d]" v' low high)
-    | "balance" -> { new_state = None; result = Value.int v }
-    | m -> invalid_arg ("Occ escrow: unknown method " ^ m)
-  in
-  let rec model =
-    {
-      name = "escrow-occ";
-      init = Value.int initial;
-      methods = [ "deposit"; "withdraw"; "balance" ];
-      is_update = (fun m -> m = "deposit" || m = "withdraw");
-      apply;
-      stale_apply = (fun ~committed ~snap m a -> default_stale apply ~committed ~snap m a);
-      spec_of =
-        (fun ~current ->
-          Commutativity.predicate ~name:"escrow-occ"
-            ~vocab:[ "deposit"; "withdraw"; "balance" ]
-            (fun a b ->
-              let v = Value.to_int_exn (current ()) in
-              match (delta_of a, delta_of b) with
-              | Some da, Some db ->
-                  in_bounds (v + da) && in_bounds (v + db)
-                  && in_bounds (v + da + db)
-              | None, None -> is_read a && is_read b
-              | Some _, None | None, Some _ -> false));
-    }
-  in
-  model
-
-(* -- read/write register -------------------------------------------------------
-
-   [write v] overwrites, [read] returns the state.  The spec is the
-   classic stable read/write matrix, so commute-mode validation behaves
-   like rw-mode here and both run the incremental certifier. *)
-
-let register ?(init = Value.int 0) () =
-  let apply st meth args =
-    match (meth, args) with
-    | "write", v :: _ -> { new_state = Some v; result = Value.unit }
-    | "read", _ -> { new_state = None; result = st }
-    | m, _ -> invalid_arg ("Occ register: unknown method " ^ m)
-  in
-  {
-    name = "register-occ";
-    init;
-    methods = [ "read"; "write" ];
-    is_update = (fun m -> m = "write");
-    apply;
-    stale_apply = (fun ~committed ~snap m a -> default_stale apply ~committed ~snap m a);
-    spec_of =
-      (fun ~current:_ ->
-        Commutativity.rw_named ~name:"register-occ" ~reads:[ "read" ]
-          ~writes:[ "write" ]);
-  }
-
-(* -- doctors-on-duty roster ----------------------------------------------------
-
-   The write-skew scenario object.  State: [Pair (Str x, Str y)], the
-   duty status of two doctors, both initially "on".  [sign_off_x] reads
-   the OTHER doctor's status and records the observed value while going
-   off duty — the classic two-snapshot-readers-with-disjoint-writes
-   shape folded into one object (the scenario DSL is straight-line, so
-   the cross read must live inside the method).  Under correct
-   validation at most one sign-off per interleaved pair survives
-   unretried; the unvalidated mutant's [stale_apply] merges the
-   snapshot-computed field into the committed state, producing the
-   both-signed-off-having-seen-each-other-on state no serial order can
-   produce. *)
-
-let roster ?(x = "on") ?(y = "on") () =
-  let fields st =
-    match st with
-    | Value.Pair (Value.Str a, Value.Str b) -> (a, b)
-    | _ -> invalid_arg "Occ roster: malformed state"
-  in
-  let off saw = "off(saw " ^ saw ^ ")" in
-  let apply st meth _args =
-    let sx, sy = fields st in
-    match meth with
-    | "read_x" -> { new_state = None; result = Value.str sx }
-    | "read_y" -> { new_state = None; result = Value.str sy }
-    | "sign_off_x" ->
-        { new_state = Some (Value.pair (Value.str (off sy)) (Value.str sy));
-          result = Value.unit }
-    | "sign_off_y" ->
-        { new_state = Some (Value.pair (Value.str sx) (Value.str (off sx)));
-          result = Value.unit }
-    | m -> invalid_arg ("Occ roster: unknown method " ^ m)
-  in
-  let stale_apply ~committed ~snap meth _args =
-    (* the write-skew bug: the written field is computed from the BEGIN
-       snapshot, the untouched field keeps its committed value *)
-    let _, sy_snap = fields snap in
-    let sx_snap, _ = fields snap in
-    let cx, cy = fields committed in
-    match meth with
-    | "sign_off_x" -> Value.pair (Value.str (off sy_snap)) (Value.str cy)
-    | "sign_off_y" -> Value.pair (Value.str cx) (Value.str (off sx_snap))
-    | m -> invalid_arg ("Occ roster: unknown update " ^ m)
-  in
-  {
-    name = "roster-occ";
-    init = Value.pair (Value.str x) (Value.str y);
-    methods = [ "read_x"; "read_y"; "sign_off_x"; "sign_off_y" ];
-    is_update = (fun m -> m = "sign_off_x" || m = "sign_off_y");
-    apply;
-    stale_apply;
-    spec_of =
-      (fun ~current:_ ->
-        (* sign_off_x reads y and writes x: it conflicts with itself,
-           with the other sign-off (mutual field crossing), and with the
-           read of its own field; the two pure reads commute. *)
-        Commutativity.of_conflict_matrix ~name:"roster-occ"
-          [
-            ("sign_off_x", "sign_off_x");
-            ("sign_off_y", "sign_off_y");
-            ("sign_off_x", "sign_off_y");
-            ("sign_off_x", "read_x");
-            ("sign_off_y", "read_y");
-          ]);
-  }
+(* The write-skew bug of naive snapshot isolation on the roster: the
+   written field is computed from the BEGIN snapshot, the untouched
+   field keeps its committed value. *)
+let roster_stale ~committed ~snap name _args =
+  let module R = Ooser_adts.Roster in
+  let sx, sy = R.fields snap and cx, cy = R.fields committed in
+  match name with
+  | "sign_off_x" -> R.state (R.off sy) cy
+  | "sign_off_y" -> R.state cx (R.off sx)
+  | m -> invalid_arg ("Occ roster: unknown update " ^ m)

@@ -60,8 +60,16 @@ module Runtime = Ooser_oodb.Runtime
 
 type mode = Commute | Rw | Unvalidated
 
+(* Versions hold the observed part of each state only (an escrow
+   account's balance, not its bounds); [full] rebuilds the whole state
+   from the object's initial one. *)
 type version = { v_ts : int; v_state : Value.t }
-type entry = { e_model : Model.t; mutable e_versions : version list (* newest first *) }
+
+type entry = {
+  e_model : Model.t;
+  e_init : Value.t;
+  mutable e_versions : version list;  (* newest first *)
+}
 
 type intention = {
   i_id : int;
@@ -121,12 +129,19 @@ let entry store obj =
   | Some e -> e
   | None -> invalid_arg ("Occ.Store: unregistered object " ^ Obj_id.to_string obj)
 
+let full e st = Model.rebuild e.e_model e.e_init st
+
+let push_version e ts st =
+  e.e_versions <-
+    { v_ts = ts; v_state = Model.observe e.e_model st } :: e.e_versions
+
+let newest e = full e (List.hd e.e_versions).v_state
 let committed_state store obj = (List.hd (entry store obj).e_versions).v_state
 
 let state_at e ts =
   let rec find = function
     | [] -> invalid_arg "Occ.Store: no version at or below snapshot"
-    | v :: rest -> if v.v_ts <= ts then v.v_state else find rest
+    | v :: rest -> if v.v_ts <= ts then full e v.v_state else find rest
   in
   find e.e_versions
 
@@ -165,7 +180,7 @@ let local_state store buf obj =
   List.fold_left
     (fun st it ->
       if Obj_id.equal it.i_obj obj then
-        match (e.e_model.Model.apply st it.i_meth it.i_args).Model.new_state with
+        match (Model.apply e.e_model st it.i_meth it.i_args).Model.new_state with
         | Some st' -> st'
         | None -> st
       else st)
@@ -175,7 +190,7 @@ let local_state store buf obj =
 let exec store obj meth ctx args =
   let buf = buf_of store ctx.Runtime.top in
   let e = entry store obj in
-  let out = e.e_model.Model.apply (local_state store buf obj) meth args in
+  let out = Model.apply e.e_model (local_state store buf obj) meth args in
   (match out.Model.new_state with
   | Some _ ->
       let it = { i_id = buf.b_next; i_obj = obj; i_meth = meth; i_args = args } in
@@ -191,20 +206,21 @@ let exec store obj meth ctx args =
 
 (* -- registration -------------------------------------------------------------- *)
 
-let register store db obj (model : Model.t) =
+let register store db obj model init =
   store.db <- Some db;
-  Hashtbl.replace store.objs obj
-    { e_model = model; e_versions = [ { v_ts = 0; v_state = model.Model.init } ] };
+  let e = { e_model = model; e_init = init; e_versions = [] } in
+  push_version e 0 init;
+  Hashtbl.replace store.objs obj e;
   let spec =
     match store.mode with
     | Rw -> Model.rw_spec model
     | Commute | Unvalidated ->
-        model.Model.spec_of ~current:(fun () -> committed_state store obj)
+        Model.spec_of model ~current:(fun () -> newest e)
   in
   Database.register_or_replace db obj ~spec
     (List.map
        (fun m -> (m, Database.primitive (fun ctx args -> exec store obj m ctx args)))
-       model.Model.methods)
+       (Model.methods model))
 
 (* -- validation ---------------------------------------------------------------- *)
 
@@ -250,7 +266,7 @@ let ensure_cert store =
 
 let is_store_update store a =
   match Hashtbl.find_opt store.objs (Action.obj a) with
-  | Some e -> e.e_model.Model.is_update (Action.meth a)
+  | Some e -> Model.is_update e.e_model (Action.meth a)
   | None -> false
 
 (* Re-stamp the committing attempt's primitives into the multiversion
@@ -270,11 +286,7 @@ let restamp store buf ~commit ~tree ~prims =
          (id, band_stamp store band))
 
 let install store buf ~ts ~updates ~states ~tree ~restamped =
-  Hashtbl.iter
-    (fun obj st ->
-      let e = entry store obj in
-      e.e_versions <- { v_ts = ts; v_state = st } :: e.e_versions)
-    states;
+  Hashtbl.iter (fun obj st -> push_version (entry store obj) ts st) states;
   store.commit_ts <- ts;
   store.committed <- { c_ts = ts; c_updates = updates } :: store.committed;
   store.trail <- (tree, restamped) :: store.trail;
@@ -293,9 +305,9 @@ let replay store buf =
         let cur =
           match Hashtbl.find_opt states it.i_obj with
           | Some s -> s
-          | None -> (List.hd e.e_versions).v_state
+          | None -> newest e
         in
-        match (e.e_model.Model.apply cur it.i_meth it.i_args).Model.new_state with
+        match (Model.apply e.e_model cur it.i_meth it.i_args).Model.new_state with
         | Some st' -> Hashtbl.replace states it.i_obj st'
         | None -> ())
       (List.rev buf.b_intents);
@@ -309,10 +321,10 @@ let apply_stale store buf ~tree ~restamped =
   List.iter
     (fun it ->
       let e = entry store it.i_obj in
-      let committed = (List.hd e.e_versions).v_state in
+      let committed = newest e in
       let snap = state_at e buf.b_snap in
-      let st' = e.e_model.Model.stale_apply ~committed ~snap it.i_meth it.i_args in
-      e.e_versions <- { v_ts = ts; v_state = st' } :: e.e_versions)
+      push_version e ts
+        (Model.stale_apply e.e_model ~committed ~snap it.i_meth it.i_args))
     (List.rev buf.b_intents);
   store.commit_ts <- ts;
   store.trail <- (tree, restamped) :: store.trail
@@ -335,10 +347,14 @@ let validate store ~top ~tree ~prims =
             (not (Action.is_virtual a)) && Hashtbl.mem store.objs (Action.obj a))
           (Call_tree.primitives tree)
       in
-      (* 1. concurrency check against the snapshot window (snap, now] *)
-      let concurrent =
-        List.filter (fun c -> c.c_ts > buf.b_snap) store.committed
+      (* 1. concurrency check against the snapshot window (snap, now]:
+         [committed] is newest first with strictly increasing stamps, so
+         the window is the prefix above the snapshot *)
+      let rec window = function
+        | c :: rest when c.c_ts > buf.b_snap -> c :: window rest
+        | _ -> []
       in
+      let concurrent = window store.committed in
       let conflict = ref None in
       let saves = ref 0 in
       List.iter

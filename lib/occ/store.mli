@@ -28,8 +28,9 @@ val counters : t -> Stats.Counter.t
 val commit_ts : t -> int
 (** The newest committed version timestamp. *)
 
-val register : t -> Database.t -> Obj_id.t -> Model.t -> unit
-(** Register the object in both the store (version chain at ts 0) and
+val register : t -> Database.t -> Obj_id.t -> Model.t -> Value.t -> unit
+(** [register store db obj model init] registers the object in both the
+    store (version chain at ts 0 holding [init]) and
     the database: store-backed methods, and the model's commutativity
     spec ([Rw] mode registers the read/write projection instead, so the
     database's spec registry IS what rw validation and certification
@@ -44,10 +45,12 @@ val snapshot_ts : t -> int -> int option
 (** The snapshot timestamp of the transaction's current attempt. *)
 
 val committed_state : t -> Obj_id.t -> Value.t
-(** Newest committed state of the object. *)
+(** Newest committed state of the object, as the model observes it
+    (an escrow account's balance). *)
 
 val versions : t -> Obj_id.t -> (int * Value.t) list
-(** The object's version chain, newest first, as [(commit_ts, state)]. *)
+(** The object's version chain, newest first, as [(commit_ts, state)]
+    with states observed as in {!committed_state}. *)
 
 val validate :
   t ->

@@ -5,8 +5,16 @@
 
 open Ooser_core
 module Database = Ooser_oodb.Database
+module Adts = Ooser_adts
 
 let account_obj i = Obj_id.v (Printf.sprintf "Account%d" i)
+
+(* The models are static: one per ADT, shared by every object. *)
+let account =
+  Model.v ~methods:[ "deposit"; "withdraw"; "balance" ] Adts.Escrow.adt
+
+let register_cell = Model.v Adts.Register.adt
+let roster = Model.v ~stale:Model.roster_stale Adts.Roster.adt
 
 (* Escrow-heavy banking: the workload the occ(commute) < occ(rw)
    abort-rate gate runs on. *)
@@ -15,7 +23,8 @@ let setup_banking ~mode ?(accounts = 10) ?(balance = 100) ?(low = 0)
   let db = Database.create () in
   let store = Store.create ~mode () in
   for i = 0 to accounts - 1 do
-    Store.register store db (account_obj i) (Model.escrow ~low ~high balance)
+    Store.register store db (account_obj i) account
+      (Adts.Escrow.init ~low ~high balance)
   done;
   (db, store)
 
@@ -28,11 +37,11 @@ let total_balance store ~accounts =
 
 (* Read/write cells (stable specs — exercises the incremental-certifier
    validation path). *)
-let setup_registers ~mode ?(cells = [ "X"; "Y" ]) ?init () =
+let setup_registers ~mode ?(cells = [ "X"; "Y" ]) ?(init = Value.int 0) () =
   let db = Database.create () in
   let store = Store.create ~mode () in
   List.iter
-    (fun name -> Store.register store db (Obj_id.v name) (Model.register ?init ()))
+    (fun name -> Store.register store db (Obj_id.v name) register_cell init)
     cells;
   (db, store)
 
@@ -42,5 +51,5 @@ let roster_obj = Obj_id.v "Roster"
 let setup_roster ~mode () =
   let db = Database.create () in
   let store = Store.create ~mode () in
-  Store.register store db roster_obj (Model.roster ());
+  Store.register store db roster_obj roster Adts.Roster.on_duty;
   (db, store)

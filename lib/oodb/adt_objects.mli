@@ -1,29 +1,26 @@
 (** The semantically rich abstract data types of §2 registered as
-    encapsulated database objects: each object couples the ADT state with
-    its commutativity specification, and every update registers an undo
-    closure so aborts stay atomic.
-
-    Methods (all primitive):
-    - counter: [incr n] / [decr n] / [read] (escrow commutativity);
-    - set: [insert v] / [remove v] / [contains v] / [cardinal];
-    - queue: [enqueue v] / [dequeue] → [("some", v)] or [("none", ())] /
-      [length] (state-dependent commutativity);
-    - directory: [bind k v] / [unbind k] / [lookup k] / [list] (keyed,
-      with the phantom-prone [list]).
-
-    The returned ADT handles allow direct (non-transactional) inspection
-    in tests and reports. *)
+    encapsulated database objects, derived from their one definition in
+    {!Ooser_adts}: the object couples a reference to the reified state
+    with the ADT's commutativity specification, every update registers
+    the definition's inverse as its undo so aborts stay atomic, and
+    compensated updates carry inverse invocations for open nesting. *)
 
 open Ooser_core
 
-val register_counter :
+val register :
   Database.t ->
   Obj_id.t ->
-  ?low:int ->
-  ?high:int ->
-  int ->
-  Ooser_adts.Escrow_counter.t
+  ?spec:Commutativity.spec ->
+  ?methods:string list ->
+  Ooser_adts.Adt.t ->
+  Value.t ->
+  Value.t ref
+(** [register db oid adt init] registers the ADT's methods ([methods],
+    default all) as primitives over a state starting at [init], under
+    the ADT's spec reading that state ([spec] overrides it).  The
+    returned reference allows direct (non-transactional) inspection in
+    tests and reports. *)
 
-val register_set : Database.t -> Obj_id.t -> Ooser_adts.Kv_set.t
-val register_queue : Database.t -> Obj_id.t -> Ooser_adts.Fifo_queue.t
-val register_directory : Database.t -> Obj_id.t -> Ooser_adts.Directory.t
+val register_counter :
+  Database.t -> Obj_id.t -> ?low:int -> ?high:int -> int -> Value.t ref
+(** An escrow counter with methods [incr n] / [decr n] / [read]. *)

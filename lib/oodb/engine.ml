@@ -1243,33 +1243,32 @@ let retry_blocked (eng : t) =
       | Not_started | Step _ | Idle | Joining | Await_input _ -> ())
     blocked
 
+(* A submitted transaction before its first step. *)
+let new_txn ~top ~tname ?deadline body =
+  {
+    top;
+    tname;
+    body;
+    tasks = [];
+    status = Running;
+    attempt = 0;
+    resume_after = 0;
+    result = None;
+    branch_counter = 0;
+    aborting = None;
+    first_step = -1;
+    commit_step = -1;
+    deadline;
+    pinned = false;
+  }
+
 let create ?(config : config option) db ~protocol bodies =
   let config = match config with Some c -> c | None -> default_config protocol in
   (* top-level transactions are messages on the system object (Def. 4);
      they carry no semantics of their own *)
   if not (Database.mem db config.sys) then
     Database.register db config.sys ~spec:Commutativity.all_commute [];
-  let txns =
-    List.map
-      (fun (top, tname, body) ->
-        {
-          top;
-          tname;
-          body;
-          tasks = [];
-          status = Running;
-          attempt = 0;
-          resume_after = 0;
-          result = None;
-          branch_counter = 0;
-          aborting = None;
-          first_step = -1;
-          commit_step = -1;
-          deadline = None;
-          pinned = false;
-        })
-      bodies
-  in
+  let txns = List.map (fun (top, tname, body) -> new_txn ~top ~tname body) bodies in
   {
     db;
     config;
@@ -1573,26 +1572,7 @@ let find_txn (eng : t) top = List.find_opt (fun x -> x.top = top) eng.txns
 let submit (eng : t) ~top ~name ?deadline body =
   if find_txn eng top <> None then
     invalid_arg (Printf.sprintf "Engine.submit: transaction %d exists" top);
-  eng.txns <-
-    eng.txns
-    @ [
-        {
-          top;
-          tname = name;
-          body;
-          tasks = [];
-          status = Running;
-          attempt = 0;
-          resume_after = 0;
-          result = None;
-          branch_counter = 0;
-          aborting = None;
-          first_step = -1;
-          commit_step = -1;
-          deadline;
-          pinned = false;
-        };
-      ]
+  eng.txns <- eng.txns @ [ new_txn ~top ~tname:name ?deadline body ]
 
 let set_deadline (eng : t) ~top deadline =
   match find_txn eng top with

@@ -12,7 +12,7 @@
 
 open Ooser_core
 open Ooser_oodb
-module Escrow = Ooser_adts.Escrow_counter
+module Escrow = Ooser_adts.Escrow
 module Rng = Ooser_sim.Rng
 module Dist = Ooser_sim.Dist
 
@@ -20,41 +20,20 @@ type semantics = [ `Escrow | `Rw | `Conflict ]
 
 let account_obj i = Obj_id.v (Printf.sprintf "Account%d" i)
 
-let spec_for semantics counter =
-  match semantics with
-  | `Escrow -> Escrow.spec counter
+(* [None]: the escrow ADT's own state-reading spec. *)
+let spec_for = function
+  | `Escrow -> None
   | `Rw ->
-      Commutativity.rw ~reads:[ "balance" ]
-        ~writes:[ "deposit"; "withdraw" ]
-  | `Conflict -> Commutativity.all_conflict
+      Some
+        (Commutativity.rw ~reads:[ "balance" ]
+           ~writes:[ "deposit"; "withdraw" ])
+  | `Conflict -> Some Commutativity.all_conflict
 
 let register_account db ~semantics i ~balance ~low ~high =
-  let counter = Escrow.create ~low ~high balance in
-  let amount = function
-    | [ Value.Int n ] -> n
-    | _ -> invalid_arg "amount expected"
-  in
-  let deposit ctx args =
-    let n = amount args in
-    Escrow.incr counter n;
-    Runtime.on_undo ctx (fun () -> Escrow.decr counter n);
-    Value.unit
-  in
-  let withdraw ctx args =
-    let n = amount args in
-    Escrow.decr counter n;
-    Runtime.on_undo ctx (fun () -> Escrow.incr counter n);
-    Value.unit
-  in
-  let balance _ctx _args = Value.int (Escrow.value counter) in
-  Database.register db (account_obj i)
-    ~spec:(spec_for semantics counter)
-    [
-      ("deposit", Database.primitive deposit);
-      ("withdraw", Database.primitive withdraw);
-      ("balance", Database.primitive balance);
-    ];
-  counter
+  Adt_objects.register db (account_obj i) ?spec:(spec_for semantics)
+    ~methods:[ "deposit"; "withdraw"; "balance" ]
+    Escrow.adt
+    (Escrow.init ~low ~high balance)
 
 type params = {
   accounts : int;
@@ -138,4 +117,4 @@ let static_summaries ~rng p =
     (transfer_plan ~rng p)
 
 let total_balance counters =
-  Array.fold_left (fun acc c -> acc + Escrow.value c) 0 counters
+  Array.fold_left (fun acc c -> acc + Escrow.value !c) 0 counters

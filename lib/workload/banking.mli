@@ -4,7 +4,7 @@
 
 open Ooser_core
 open Ooser_oodb
-module Escrow = Ooser_adts.Escrow_counter
+module Escrow = Ooser_adts.Escrow
 module Rng = Ooser_sim.Rng
 module Dist = Ooser_sim.Dist
 
@@ -21,7 +21,10 @@ val register_account :
   balance:int ->
   low:int ->
   high:int ->
-  Escrow.t
+  Value.t ref
+(** An escrow account with methods [deposit n] / [withdraw n] /
+    [balance] (see {!Ooser_oodb.Adt_objects.register}); the returned
+    reference holds its escrow state. *)
 
 type params = {
   accounts : int;
@@ -36,7 +39,7 @@ type params = {
 
 val default_params : params
 
-val setup : semantics:semantics -> params -> Database.t * Escrow.t array
+val setup : semantics:semantics -> params -> Database.t * Value.t ref array
 
 val transactions :
   rng:Rng.t ->
@@ -51,5 +54,5 @@ val static_summaries :
     same seed yields summaries of exactly the transactions the engine
     would run. *)
 
-val total_balance : Escrow.t array -> int
+val total_balance : Value.t ref array -> int
 (** Invariant: transfers preserve the sum. *)

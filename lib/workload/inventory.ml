@@ -15,8 +15,7 @@
 
 open Ooser_core
 open Ooser_oodb
-module Escrow = Ooser_adts.Escrow_counter
-module Fifo_queue = Ooser_adts.Fifo_queue
+module Adts = Ooser_adts
 module Rng = Ooser_sim.Rng
 module Dist = Ooser_sim.Dist
 
@@ -24,9 +23,9 @@ type t = {
   db : Database.t;
   store : Obj_id.t;
   products : string array;
-  stock : Escrow.t array;
-  revenue : Escrow.t;
-  orders : Fifo_queue.t;
+  stock : Value.t ref array;  (* escrow states *)
+  revenue : Value.t ref;
+  orders : Value.t ref;  (* queue state *)
 }
 
 let stock_obj name i = Obj_id.v (Printf.sprintf "%s.Stock%d" name i)
@@ -61,11 +60,19 @@ let create ?(name = "Store") ?(products = 4) ?(initial_stock = 100) db =
     Array.init products (fun i ->
         Adt_objects.register_counter db (stock_obj name i) ~low:0 initial_stock)
   in
-  let catalog = Adt_objects.register_directory db (catalog_obj name) in
-  Array.iteri
-    (fun i p -> Ooser_adts.Directory.bind catalog (Value.str p) (Value.int (10 + i)))
-    product_names;
-  let orders = Adt_objects.register_queue db (orders_obj name) in
+  let prices =
+    List.mapi
+      (fun i p -> (Value.str p, Value.int (10 + i)))
+      (Array.to_list product_names)
+  in
+  ignore
+    (Adt_objects.register db (catalog_obj name) Adts.Directory.adt
+       (List.fold_left
+          (fun st (k, v) -> Adts.Directory.bind st k v)
+          Adts.Directory.empty prices));
+  let orders =
+    Adt_objects.register db (orders_obj name) Adts.Fifo.adt Adts.Fifo.empty
+  in
   let revenue =
     Adt_objects.register_counter db (revenue_obj name) ~low:0 0
   in
@@ -122,9 +129,9 @@ let create ?(name = "Store") ?(products = 4) ?(initial_stock = 100) db =
   t
 
 let store_object t = t.store
-let stock_level t i = Escrow.value t.stock.(i)
-let revenue_total t = Escrow.value t.revenue
-let pending_orders t = Fifo_queue.length t.orders
+let stock_level t i = Adts.Escrow.value !(t.stock.(i))
+let revenue_total t = Adts.Escrow.value !(t.revenue)
+let pending_orders t = Adts.Fifo.length !(t.orders)
 let product t i = t.products.(i)
 
 (* -- transaction helpers -------------------------------------------------------- *)

@@ -48,18 +48,25 @@ let encyclopedia ~seed () =
     ~summaries:(Enc_workload.static_summaries ~rng:(Rng.create ~seed) p enc)
     db
 
-(* The four semantic ADTs of §2 registered standalone: the primary
+(* The semantic ADTs of lib/adts registered standalone: the primary
    spec-inference target — every object here has an executable model in
    Ooser_analysis.Semantics.  No summaries: the target is about the
    specs, not a workload. *)
 let adts () =
   let db = Database.create () in
-  let _counter =
-    Adt_objects.register_counter db (Obj_id.v "counter") ~low:0 ~high:100 50
-  in
-  let _set = Adt_objects.register_set db (Obj_id.v "set") in
-  let _queue = Adt_objects.register_queue db (Obj_id.v "queue") in
-  let _dir = Adt_objects.register_directory db (Obj_id.v "dir") in
+  let module A = Ooser_adts in
+  ignore
+    (Adt_objects.register_counter db (Obj_id.v "counter") ~low:0 ~high:100 50);
+  List.iter
+    (fun (name, adt, init) ->
+      ignore (Adt_objects.register db (Obj_id.v name) adt init))
+    [
+      ("set", A.Kv_set.adt, A.Kv_set.empty);
+      ("queue", A.Fifo.adt, A.Fifo.empty);
+      ("dir", A.Directory.adt, A.Directory.empty);
+      ("register", A.Register.adt, Value.int 0);
+      ("roster", A.Roster.adt, A.Roster.on_duty);
+    ];
   of_database ~name:"adts" db
 
 let all ~seed () =

@@ -6,14 +6,20 @@ open Ooser_core
 open Ooser_oodb
 module Protocol = Ooser_cc.Protocol
 module Rng = Ooser_sim.Rng
-module Escrow = Ooser_adts.Escrow_counter
-module Fifo_queue = Ooser_adts.Fifo_queue
+module Escrow = Ooser_adts.Escrow
+module Fifo = Ooser_adts.Fifo
 module Kv_set = Ooser_adts.Kv_set
 module Directory = Ooser_adts.Directory
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let o = Obj_id.v
+
+let register_set db oid = Adt_objects.register db oid Kv_set.adt Kv_set.empty
+let register_queue db oid = Adt_objects.register db oid Fifo.adt Fifo.empty
+
+let register_directory db oid =
+  Adt_objects.register db oid Directory.adt Directory.empty
 
 let open_protocol db = Protocol.open_nested ~reg:(Database.spec_registry db) ()
 
@@ -32,7 +38,7 @@ let test_counter_concurrent_escrow () =
       [ (1, "d1", body 10); (2, "d2", body (-5)); (3, "d3", body 7) ]
   in
   check_int "all committed" 3 (List.length out.Engine.committed);
-  check_int "value" 112 (Escrow.value c);
+  check_int "value" 112 (Escrow.value !c);
   (* escrow: small updates commute, no waits at all *)
   check_bool "no waits" true
     (not (List.mem_assoc "waits" out.Engine.metrics));
@@ -48,7 +54,7 @@ let test_counter_abort_undo () =
   in
   let out = Engine.run db ~protocol:(open_protocol db) [ (1, "t", body) ] in
   check_int "aborted" 1 (List.length out.Engine.aborted);
-  check_int "restored" 50 (Escrow.value c)
+  check_int "restored" 50 (Escrow.value !c)
 
 let test_counter_bounds_abort () =
   let db = Database.create () in
@@ -61,11 +67,11 @@ let test_counter_bounds_abort () =
   in
   let out = Engine.run db ~protocol:(open_protocol db) [ (1, "t", body) ] in
   check_int "aborted on bound" 1 (List.length out.Engine.aborted);
-  check_int "first incr undone too" 10 (Escrow.value c)
+  check_int "first incr undone too" 10 (Escrow.value !c)
 
 let test_set_operations () =
   let db = Database.create () in
-  let s = Adt_objects.register_set db (o "S1") in
+  let s = register_set db (o "S1") in
   let body ctx =
     ignore (Runtime.call ctx (o "S1") "insert" [ Value.str "a" ]);
     ignore (Runtime.call ctx (o "S1") "insert" [ Value.str "b" ]);
@@ -74,11 +80,11 @@ let test_set_operations () =
   in
   let out = Engine.run db ~protocol:(open_protocol db) [ (1, "t", body) ] in
   check_bool "result" true (List.assoc 1 out.Engine.results = Value.bool true);
-  check_int "final cardinality" 1 (Kv_set.cardinal s)
+  check_int "final cardinality" 1 (Kv_set.cardinal !s)
 
 let test_set_keyed_concurrency () =
   let db = Database.create () in
-  ignore (Adt_objects.register_set db (o "S1"));
+  ignore (register_set db (o "S1"));
   let body k ctx =
     ignore (Runtime.call ctx (o "S1") "insert" [ Value.str k ]);
     Value.unit
@@ -93,7 +99,7 @@ let test_set_keyed_concurrency () =
 
 let test_queue_fifo_through_engine () =
   let db = Database.create () in
-  let q = Adt_objects.register_queue db (o "Q") in
+  let q = register_queue db (o "Q") in
   let producer ctx =
     List.iter
       (fun i -> ignore (Runtime.call ctx (o "Q") "enqueue" [ Value.int i ]))
@@ -105,11 +111,11 @@ let test_queue_fifo_through_engine () =
   let out = Engine.run db ~protocol:(open_protocol db) [ (2, "cons", consumer) ] in
   check_bool "fifo head" true
     (List.assoc 2 out.Engine.results = Value.pair (Value.str "some") (Value.int 1));
-  check_int "two left" 2 (Fifo_queue.length q)
+  check_int "two left" 2 (Fifo.length !q)
 
 let test_queue_abort_restores () =
   let db = Database.create () in
-  let q = Adt_objects.register_queue db (o "Q") in
+  let q = register_queue db (o "Q") in
   let setup ctx =
     ignore (Runtime.call ctx (o "Q") "enqueue" [ Value.int 1 ]);
     ignore (Runtime.call ctx (o "Q") "enqueue" [ Value.int 2 ]);
@@ -122,12 +128,12 @@ let test_queue_abort_restores () =
     Runtime.abort "rollback"
   in
   ignore (Engine.run db ~protocol:(open_protocol db) [ (2, "d", doomed) ]);
-  check_int "length restored" 2 (Fifo_queue.length q);
-  check_bool "head restored" true (Fifo_queue.peek q = Some (Value.int 1))
+  check_int "length restored" 2 (Fifo.length !q);
+  check_bool "head restored" true (Fifo.items !q = [ Value.int 1; Value.int 2 ])
 
 let test_directory_phantoms () =
   let db = Database.create () in
-  ignore (Adt_objects.register_directory db (o "D"));
+  ignore (register_directory db (o "D"));
   let binder ctx =
     ignore
       (Runtime.call ctx (o "D") "bind" [ Value.str "k"; Value.int 1 ]);
@@ -150,7 +156,7 @@ let test_directory_phantoms () =
 
 let test_directory_lookup_results () =
   let db = Database.create () in
-  ignore (Adt_objects.register_directory db (o "D"));
+  ignore (register_directory db (o "D"));
   let body ctx =
     ignore (Runtime.call ctx (o "D") "bind" [ Value.str "x"; Value.int 42 ]);
     ignore (Runtime.call ctx (o "D") "bind" [ Value.str "x"; Value.int 43 ]);
@@ -167,7 +173,7 @@ let test_set_compensations_commute () =
      inserts commute, so nothing blocks T2).  T1's compensation must NOT
      erase T2's element — the counted representation guarantees it. *)
   let db = Database.create () in
-  let s = Adt_objects.register_set db (o "S1") in
+  let s = register_set db (o "S1") in
   (* T1 inserts then stalls long enough for T2 to run, then aborts *)
   let t1 ctx =
     ignore (Runtime.call ctx (o "S1") "insert" [ Value.str "v" ]);
@@ -191,14 +197,14 @@ let test_set_compensations_commute () =
   check_bool "t2 committed" true (List.mem 2 out.Engine.committed);
   check_bool "t1 aborted" true (List.mem_assoc 1 out.Engine.aborted);
   (* T2's insert must survive T1's compensation *)
-  check_bool "element survives" true (Kv_set.mem s (Value.str "v"));
-  check_int "exactly one insertion left" 1 (Kv_set.count s (Value.str "v"))
+  check_bool "element survives" true (Kv_set.mem !s (Value.str "v"));
+  check_int "exactly one insertion left" 1 (Kv_set.count !s (Value.str "v"))
 
 let test_queue_compensations_commute () =
   (* same pitfall for the queue: T1 enqueues x and aborts after T2
      enqueued the identical value; exactly one x must remain *)
   let db = Database.create () in
-  let q = Adt_objects.register_queue db (o "Q") in
+  let q = register_queue db (o "Q") in
   let t1 ctx =
     ignore (Runtime.call ctx (o "Q") "enqueue" [ Value.str "x" ]);
     ignore (Runtime.call ctx (o "Q") "length" []);
@@ -217,7 +223,7 @@ let test_queue_compensations_commute () =
   in
   let out = Engine.run ~config db ~protocol [ (1, "t1", t1); (2, "t2", t2) ] in
   check_bool "t2 committed" true (List.mem 2 out.Engine.committed);
-  check_int "exactly one x left" 1 (Fifo_queue.length q)
+  check_int "exactly one x left" 1 (Fifo.length !q)
 
 let suites =
   [

@@ -12,6 +12,8 @@ open Ooser_workload
 module A = Ooser_analysis
 module Infer = A.Infer
 module Semantics = A.Semantics
+module Adt = Ooser_adts.Adt
+module Adts = Ooser_adts
 module Diagnostic = A.Diagnostic
 module Lint = A.Lint
 module Spec_lint = A.Spec_lint
@@ -114,7 +116,7 @@ let test_witness_details () =
          in
          go 0);
       check_bool "both orders forward-commute at the witness" true
-        (Semantics.forward_at Semantics.directory w.Infer.w_state
+        (Semantics.forward_at Adts.Directory.adt w.Infer.w_state
            ("bind", w.Infer.w_args)
            ("bind", w.Infer.w_args'))
   | _ -> Alcotest.fail "dir same-args bind/bind should conflict"
@@ -230,7 +232,7 @@ let test_escrow_mutation_flagged () =
           (* the oracle replays the witness: both calls at the witness
              state do not commute *)
           check_bool "oracle refutes the witness" false
-            (Semantics.commute_at Semantics.counter w.Infer.w_state
+            (Semantics.commute_at Adts.Escrow.adt w.Infer.w_state
                (cell.Infer.meth, w.Infer.w_args)
                (cell.Infer.meth', w.Infer.w_args'));
           (* and the witness interleaving, run under a registry where the
@@ -313,14 +315,14 @@ let oracle_agreement_prop (model : Semantics.model) =
   let commuting =
     List.concat_map
       (fun (g : Infer.group) ->
-        if String.equal g.Infer.spec_name model.Semantics.spec_name then
+        if String.equal g.Infer.spec_name (Adt.spec_name model) then
           List.filter commutes g.Infer.cells
         else [])
       r.Infer.groups
   in
   QCheck.Test.make ~count:100
-    ~name:("inferred commutes are sound: " ^ model.Semantics.model_name)
-    (QCheck.make model.Semantics.gen_state)
+    ~name:("inferred commutes are sound: " ^ model.Adt.name)
+    (QCheck.make model.Adt.gen_state)
     (fun state ->
       List.for_all
         (fun (c : Infer.cell) ->
@@ -336,6 +338,47 @@ let oracle_agreement_prop (model : Semantics.model) =
                 vs')
             vs)
         commuting)
+
+(* --- coverage: every spec a protocol consults is audited ------------- *)
+
+(* The adts target audits one spec per ADT — the escrow spec under its
+   single name — and every spec the occ store registers resolves to an
+   executable model, so [infer --strict] covers the occ protocol too. *)
+let test_audited_spec_list () =
+  let r = Lazy.force adts_report in
+  Alcotest.(check (list string))
+    "audited specs"
+    [
+      "directory";
+      "escrow-counter";
+      "fifo-queue";
+      "keyed(kv-set)";
+      "register-occ";
+      "roster-occ";
+    ]
+    (List.sort String.compare
+       (List.filter_map
+          (fun (g : Infer.group) ->
+            if g.Infer.audited then Some g.Infer.spec_name else None)
+          r.Infer.groups));
+  let module W = Ooser_occ.Workloads in
+  List.iter
+    (fun (db, _) ->
+      List.iter
+        (fun o ->
+          match Ooser_oodb.Database.spec db o with
+          | Some spec ->
+              check_bool
+                ("occ spec has a model: " ^ Commutativity.name spec)
+                true
+                (Semantics.for_spec spec <> None)
+          | None -> Alcotest.fail "occ object without a spec")
+        (Ooser_oodb.Database.objects db))
+    [
+      W.setup_banking ~mode:Ooser_occ.Store.Commute ~accounts:2 ();
+      W.setup_registers ~mode:Ooser_occ.Store.Commute ();
+      W.setup_roster ~mode:Ooser_occ.Store.Commute ();
+    ]
 
 (* --- named Invalid_argument diagnostics (satellite 1) --------------- *)
 
@@ -404,10 +447,10 @@ let suites =
           `Quick test_conservative_flagged;
         Alcotest.test_case "spec constructors raise named Invalid_argument"
           `Quick test_invalid_argument_messages;
-        QCheck_alcotest.to_alcotest (oracle_agreement_prop Semantics.counter);
-        QCheck_alcotest.to_alcotest (oracle_agreement_prop Semantics.kv_set);
-        QCheck_alcotest.to_alcotest (oracle_agreement_prop Semantics.fifo);
-        QCheck_alcotest.to_alcotest
-          (oracle_agreement_prop Semantics.directory);
-      ] );
+        Alcotest.test_case "every ADT spec is audited, occ's included" `Quick
+          test_audited_spec_list;
+      ]
+      @ List.map
+          (fun m -> QCheck_alcotest.to_alcotest (oracle_agreement_prop m))
+          Semantics.all );
   ]

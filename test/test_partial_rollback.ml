@@ -6,7 +6,7 @@
 open Ooser_core
 open Ooser_oodb
 module Protocol = Ooser_cc.Protocol
-module Escrow = Ooser_adts.Escrow_counter
+module Escrow = Ooser_adts.Escrow
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -41,8 +41,8 @@ let test_try_call_failure_continues () =
   in
   let out = Engine.run db ~protocol:(open_protocol db) [ (1, "transfer", body) ] in
   Alcotest.(check (list int)) "committed" [ 1 ] out.Engine.committed;
-  check_int "A untouched" 3 (Escrow.value a);
-  check_int "B debited" 40 (Escrow.value b);
+  check_int "A untouched" 3 (Escrow.value !a);
+  check_int "B debited" 40 (Escrow.value !b);
   check_bool "history valid" true (History.validate out.Engine.history = Ok ());
   check_bool "oo-serializable" true
     (Serializability.oo_serializable out.Engine.history)
@@ -69,8 +69,8 @@ let test_partial_undo_of_completed_children () =
   in
   let out = Engine.run db ~protocol:(open_protocol db) [ (1, "t", body) ] in
   Alcotest.(check (list int)) "committed" [ 1 ] out.Engine.committed;
-  check_int "X kept both increments" 2 (Escrow.value x);
-  check_int "Y rolled back" 0 (Escrow.value y)
+  check_int "X kept both increments" 2 (Escrow.value !x);
+  check_int "Y rolled back" 0 (Escrow.value !y)
 
 let test_nested_try_calls () =
   let db = Database.create () in
@@ -96,7 +96,7 @@ let test_nested_try_calls () =
   Alcotest.(check (list int)) "committed" [ 1 ] out.Engine.committed;
   (* inner's +1 undone by inner's failure; outer's +10 undone when outer
      aborted after catching *)
-  check_int "everything unwound" 0 (Escrow.value x)
+  check_int "everything unwound" 0 (Escrow.value !x)
 
 let test_try_call_unknown_method () =
   let db = Database.create () in

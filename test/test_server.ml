@@ -10,7 +10,7 @@ open Ooser_server
 module Protocol = Ooser_cc.Protocol
 module Lock_table = Ooser_cc.Lock_table
 module Banking = Ooser_workload.Banking
-module Escrow = Ooser_adts.Escrow_counter
+module Escrow = Ooser_adts.Escrow
 module Stats = Ooser_sim.Stats
 
 let check_int = Alcotest.(check int)
@@ -188,7 +188,7 @@ let test_deadline_expiry () =
   (* the call committed at its level: money moved, semantic lock held,
      transaction parked awaiting its next command *)
   check_bool "still running" true (Engine.txn_state eng 1 = `Running);
-  check_int "balance debited" 60 (Escrow.value acct);
+  check_int "balance debited" 60 (Escrow.value !acct);
   let table =
     match Protocol.table protocol with
     | Some lt -> lt
@@ -204,7 +204,7 @@ let test_deadline_expiry () =
   | `Aborted _ -> ()
   | `Running -> Alcotest.fail "deadline ignored"
   | _ -> Alcotest.fail "unexpected state");
-  check_int "compensation restored the balance" 100 (Escrow.value acct);
+  check_int "compensation restored the balance" 100 (Escrow.value !acct);
   check_int "lock table holds nothing for the dead transaction" 0
     (List.length (Lock_table.live_for_top table 1));
   check_int "deadline abort counted" 1
